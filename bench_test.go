@@ -9,7 +9,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"codeletfft"
 	"codeletfft/cluster"
@@ -434,6 +436,68 @@ func BenchmarkMixedRadix(b *testing.B) {
 				copy(data, x)
 				_ = h.Transform(data)
 			}
+		})
+	}
+}
+
+// passTimer sums engine pass time per label.
+type passTimer struct {
+	mu   sync.Mutex
+	pass map[string]time.Duration
+}
+
+func (o *passTimer) ObserveBatch(int, int, time.Duration) {}
+
+func (o *passTimer) ObservePass(pass string, d time.Duration) {
+	o.mu.Lock()
+	o.pass[pass] += d
+	o.mu.Unlock()
+}
+
+// BenchmarkEnginePasses attributes forward-transform time to the
+// engine's passes under soa4: the tiled pack, the stage sweeps, the
+// unpack, and for the prime length the plane-resident Bluestein
+// passes. Each pass label seen is reported as <label>-ms/op, and
+// cover is the share of transform time the passes account for:
+//
+//	go test -run '^$' -bench BenchmarkEnginePasses -benchtime 7x
+func BenchmarkEnginePasses(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"soa4/N=2^20", 1 << 20},
+		{"soa4/N=2^21", 1 << 21},
+		{"bluestein-soa4/N=1000003", 1000003},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			obs := &passTimer{pass: map[string]time.Duration{}}
+			h, err := codeletfft.NewHostPlan(c.n,
+				codeletfft.WithKernel(codeletfft.KernelSoARadix4), codeletfft.WithObserver(obs))
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := noise(c.n, 1)
+			data := make([]complex128, c.n)
+			copy(data, x)
+			_ = h.Transform(data) // warm the tables and pools
+			clear(obs.pass)
+			var total time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(data, x)
+				b.StartTimer()
+				t := time.Now()
+				_ = h.Transform(data)
+				total += time.Since(t)
+			}
+			var covered time.Duration
+			for label, d := range obs.pass {
+				covered += d
+				b.ReportMetric(d.Seconds()*1e3/float64(b.N), label+"-ms/op")
+			}
+			b.ReportMetric(covered.Seconds()/total.Seconds(), "cover")
 		})
 	}
 }

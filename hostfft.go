@@ -187,13 +187,21 @@ type hostCore struct {
 // the staged decomposition (bitwise-identical to every prior release),
 // lengths factoring over {2,3,5,7} get the mixed-radix plan, and
 // everything else ≥ 1 gets the Bluestein fallback. Only n < 1 fails.
-func newHostCore(n, taskSize int) (*hostCore, error) {
+// When kern can run an SoA kernel (KernelAuto, or a pinned SoA kernel)
+// the split-plane twiddle tables are built here, at plan time, so the
+// first transform does not pay for them outside every engine pass.
+func newHostCore(n, taskSize int, kern Kernel) (*hostCore, error) {
+	soa := kern == fft.KernelAuto || kern.SoA()
 	if n >= 2 && n&(n-1) == 0 {
 		pl, err := fft.NewPlan(n, taskSize)
 		if err != nil {
 			return nil, err
 		}
-		return &hostCore{n: n, pl: pl, w: fft.Twiddles(n)}, nil
+		w := fft.Twiddles(n)
+		if soa {
+			pl.SoATwiddles(w)
+		}
+		return &hostCore{n: n, pl: pl, w: w}, nil
 	}
 	mp, err := fft.NewMixedPlan(n)
 	if err == nil {
@@ -205,6 +213,9 @@ func newHostCore(n, taskSize int) (*hostCore, error) {
 	bp, err := fft.NewBluesteinPlan(n)
 	if err != nil {
 		return nil, err
+	}
+	if soa {
+		bp.Conv.SoATwiddles(bp.WConv)
 	}
 	return &hostCore{n: n, blue: bp}, nil
 }
@@ -289,7 +300,7 @@ type HostPlan struct {
 //	    codeletfft.WithKernel(codeletfft.KernelSplitRadix))
 func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	o := resolveOpts(n, opts)
-	core, err := newHostCore(n, o.taskSize)
+	core, err := newHostCore(n, o.taskSize, o.kern)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +319,7 @@ func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	o := resolveOpts(n, opts)
 	core, err := planCache.GetOrCreate(coreKey(n, o), func() (*hostCore, error) {
-		return newHostCore(n, o.taskSize)
+		return newHostCore(n, o.taskSize, o.kern)
 	})
 	if err != nil {
 		return nil, err

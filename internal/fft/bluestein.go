@@ -12,6 +12,23 @@
 // power-of-two plan (so the kernel family, autotuner, and parallel
 // engine all apply to the heavy lifting unchanged). The filter's
 // spectrum is fixed per plan and precomputed once.
+//
+// Under the split-plane (SoA) kernels the convolution stays in two
+// pooled SoAFrames, A and B, and touches memory in three passes
+// between the two M-point stage sweeps:
+//
+//  1. ChirpPack: x·chirp and the zero tail go into A, bit-reversed;
+//     the forward transform's stages then run on A.
+//  2. MulPack: conj(A·BHat) goes into B, bit-reversed; the inverse
+//     transform's stages then run on B.
+//  3. ChirpUnpack: conj(B)/M · chirp is written to the caller's data.
+//
+// The interleaved composition (Conv forward, ×BHat, Conv inverse) pays
+// nine sweeps for the same work: chirp, pack, unpack, ×BHat, conj,
+// pack, unpack, scale, chirp. Both passes that pack use the tiled
+// bit-reversal schedule of SoAFrame.PackBitrev. Every step does its
+// complex128 arithmetic in the composition's order, so the result is
+// bitwise identical to it.
 package fft
 
 import (
@@ -132,5 +149,42 @@ func (bp *BluesteinPlan) InverseTransformWith(data, work []complex128, sc *Scrat
 	inv := 1 / float64(bp.N)
 	for i, v := range data {
 		data[i] = complex(real(v)*inv, -imag(v)*inv)
+	}
+}
+
+// ChirpPack fills pack units [lo,hi) of [0, SoAPackUnits(Conv.LogN))
+// of f, an M-element frame, with the chirp-premultiplied input x[t]·Chirp[t] for t < N and zeros for the
+// tail, at bit-reversed positions. With conj set, x is conjugated
+// first (the inverse transform's conjugation identity).
+func (bp *BluesteinPlan) ChirpPack(f *SoAFrame, data []complex128, conj bool, lo, hi int) {
+	if len(data) != bp.N {
+		panic(LengthError("data", len(data), bp.N))
+	}
+	f.pack(&packSource{data: data, chirp: bp.Chirp, conj: conj}, lo, hi, bp.Conv.LogN)
+}
+
+// MulPack fills pack units [lo,hi) of dst with conj(src[i]·BHat[i]) at
+// bit-reversed positions: the filter multiply and the inverse
+// transform's input conjugation, fused into its pack. src holds the
+// forward transform in natural order.
+func (bp *BluesteinPlan) MulPack(dst, src *SoAFrame, lo, hi int) {
+	dst.pack(&packSource{re: src.Re, im: src.Im, bhat: bp.BHat}, lo, hi, bp.Conv.LogN)
+}
+
+// ChirpUnpack writes outputs [lo,hi) of [0, N): the inverse
+// transform's conjugate-and-scale by 1/M applied to f, times the chirp.
+// With inverse set, the result is conjugated and scaled by 1/N as the
+// inverse DFT's conjugation identity requires.
+func (bp *BluesteinPlan) ChirpUnpack(data []complex128, f *SoAFrame, inverse bool, lo, hi int) {
+	inv := 1 / float64(bp.M)
+	invN := 1 / float64(bp.N)
+	re, im, chirp := f.Re[lo:hi], f.Im[lo:hi], bp.Chirp[lo:hi]
+	out := data[lo:hi]
+	for k := range out {
+		v := complex(re[k]*inv, -im[k]*inv) * chirp[k]
+		if inverse {
+			v = complex(real(v)*invN, -imag(v)*invN)
+		}
+		out[k] = v
 	}
 }

@@ -8,9 +8,12 @@ import "sync"
 // 4-wide vector load of re[] pulls four butterflies' worth of one
 // operand, where the interleaved layout would pull two complex values
 // and need a shuffle per load. Input is deinterleaved once per
-// transform into a pooled SoAFrame (fused with the bit-reversal
-// permutation so it costs no extra pass) and reinterleaved once at the
-// end; every stage in between works purely on the planes.
+// transform into a pooled SoAFrame and reinterleaved once at the end;
+// every stage in between works purely on the planes. The deinterleave
+// and the bit-reversal permutation share one pass, the pack. It is a
+// full read and write of the array, and a permutation's writes cannot
+// be sequential for every element, so it walks the array in cache-sized
+// tiles (see packTiles) that read and write whole contiguous runs.
 //
 // Execution differs from the scalar kernels in one structural way.
 // Stage 0 keeps the paper's task shape: each task is a contiguous
@@ -121,16 +124,153 @@ func GetSoAFrame(n int) *SoAFrame {
 // after Release.
 func (f *SoAFrame) Release() { soaFramePool.Put(f) }
 
-// PackBitrev deinterleaves data[lo:hi] into the planes at bit-reversed
-// positions — the SoA transform's combined deinterleave + bit-reversal
-// input pass. Writes for disjoint [lo,hi) ranges are disjoint, so
-// callers may shard it across workers.
-func (f *SoAFrame) PackBitrev(data []complex128, lo, hi, logN int) {
-	for i := lo; i < hi; i++ {
-		r := BitReverse(int64(i), logN)
-		v := data[i]
-		f.Re[r], f.Im[r] = real(v), imag(v)
+// The pack's tile schedule is a blocked (COBRA-style) bit reversal.
+// Write a logN-bit index as i = a·2^(logN−b) + m·2^b + c, with a and c
+// b bits wide and m the logN−2b middle bits. Then
+//
+//	rev(i) = rev_b(c)·2^(logN−b) + rev(m)·2^b + rev_b(a)
+//
+// so for one middle index m the 2^b×2^b elements over all (a, c) form
+// a tile: its reads are 2^b contiguous runs (fixed a, c varying) and
+// its writes are 2^b contiguous runs per plane (fixed c, a varying).
+// The tile is loaded run by run into a cache-resident buffer and
+// written out transposed, so neither side strides through memory one
+// element at a time. A parallel unit is one middle index m; distinct
+// units write distinct rev(m) columns, so shards never overlap.
+// Lengths below 2^(2b) have no middle bits and pack in one plain loop.
+//
+// Before a tile's stores the walker loads one word of every
+// destination cache line. Loads that miss overlap each other, while
+// stores that miss drain from the store buffer one line at a time, so
+// the loads let the tile's 2·2^b destination runs fill concurrently.
+// b = 6 (512-byte runs per plane, a 64 KiB tile) measured fastest of
+// b = 4, 5, 6; see EXPERIMENTS.md.
+const (
+	packBits = 6
+	packTile = 1 << packBits
+)
+
+// packRev[x] is the packBits-wide bit reversal of x.
+var packRev = func() (r [packTile]int) {
+	for x := range r {
+		r[x] = int(BitReverse(int64(x), packBits))
 	}
+	return r
+}()
+
+// SoAPackUnits returns the parallel unit count of the pack of a 2^logN
+// array: one unit per middle index, or a single unit below 2^(2b).
+func SoAPackUnits(logN int) int {
+	if logN < 2*packBits {
+		return 1
+	}
+	return 1 << (logN - 2*packBits)
+}
+
+// packSource is what a pack reads: the plain input array, or one of
+// the Bluestein sweeps computed on the fly (see bluestein.go). It is a
+// concrete type, not a func value, so the tile buffers handed to load
+// stay on the stack.
+type packSource struct {
+	data  []complex128 // plain or chirp pack: the input
+	chirp []complex128 // chirp pack: the premultiplier, with n = len(data)
+	conj  bool         // chirp pack: conjugate the input first
+	re    []float64    // filter pack: the forward transform's planes…
+	im    []float64
+	bhat  []complex128 // …and the filter spectrum
+}
+
+// load fills run with source elements i, i+1, ….
+func (s *packSource) load(run []complex128, i int) {
+	switch {
+	case s.bhat != nil:
+		re, im, bh := s.re[i:i+len(run)], s.im[i:i+len(run)], s.bhat[i:i+len(run)]
+		for c := range run {
+			v := complex(re[c], im[c]) * bh[c]
+			run[c] = complex(real(v), -imag(v))
+		}
+	case s.chirp != nil:
+		k := max(min(len(s.data)-i, len(run)), 0)
+		for c := 0; c < k; c++ {
+			v := s.data[i+c]
+			if s.conj {
+				v = complex(real(v), -imag(v))
+			}
+			run[c] = v * s.chirp[i+c]
+		}
+		clear(run[k:])
+	default:
+		copy(run, s.data[i:])
+	}
+}
+
+// pack writes units [lo,hi) of src into the planes at bit-reversed
+// positions. Every unit's output depends only on the source, so any
+// [lo,hi) partition of [0, SoAPackUnits(logN)) yields the same planes.
+func (f *SoAFrame) pack(src *packSource, lo, hi, logN int) {
+	if lo >= hi {
+		return
+	}
+	if logN < 2*packBits {
+		f.packSmall(src, logN)
+		return
+	}
+	f.packTiles(src, lo, hi, logN)
+}
+
+// packSmall is the plain loop for lengths without middle bits.
+func (f *SoAFrame) packSmall(src *packSource, logN int) {
+	var run [packTile]complex128
+	n := 1 << logN
+	for i0 := 0; i0 < n; i0 += packTile {
+		k := min(packTile, n-i0)
+		src.load(run[:k], i0)
+		for j, v := range run[:k] {
+			r := BitReverse(int64(i0+j), logN)
+			f.Re[r], f.Im[r] = real(v), imag(v)
+		}
+	}
+}
+
+// packTiles runs the tile schedule over units [lo,hi). The result is
+// the sum of the words the line-fill loads read; it means nothing, and
+// is returned only so the loads cannot be optimized away.
+func (f *SoAFrame) packTiles(src *packSource, lo, hi, logN int) (touched float64) {
+	var tile [packTile * packTile]complex128 // 64 KiB, on the stack
+	hiShift := uint(logN - packBits)
+	mid := logN - 2*packBits
+	for m := lo; m < hi; m++ {
+		out := int(BitReverse(int64(m), mid)) << packBits
+		for _, rc := range packRev {
+			o := rc<<hiShift | out
+			for k := 0; k < packTile; k += 8 {
+				touched += f.Re[o+k] + f.Im[o+k]
+			}
+		}
+		in := m << packBits
+		for a := 0; a < packTile; a++ {
+			src.load(tile[a*packTile:(a+1)*packTile], a<<hiShift|in)
+		}
+		for c, rc := range packRev {
+			o := rc<<hiShift | out
+			re := f.Re[o : o+packTile]
+			im := f.Im[o : o+packTile]
+			for j, a := range packRev {
+				v := tile[a*packTile+c]
+				re[j], im[j] = real(v), imag(v)
+			}
+		}
+	}
+	return touched
+}
+
+// PackBitrev deinterleaves data into the planes at bit-reversed
+// positions — the SoA transform's combined deinterleave + bit-reversal
+// input pass — for pack units [lo,hi) of [0, SoAPackUnits(logN)).
+// Writes for disjoint unit ranges are disjoint, so callers may shard
+// it across workers.
+func (f *SoAFrame) PackBitrev(data []complex128, lo, hi, logN int) {
+	f.pack(&packSource{data: data}, lo, hi, logN)
 }
 
 // Unpack reinterleaves planes[lo:hi] back into data[lo:hi].
@@ -433,12 +573,18 @@ func (pl *Plan) TransformSoA(data, w []complex128, kern Kernel) {
 	}
 	st := pl.SoATwiddles(w)
 	f := GetSoAFrame(pl.N)
-	f.PackBitrev(data, 0, pl.N, pl.LogN)
+	f.PackBitrev(data, 0, SoAPackUnits(pl.LogN), pl.LogN)
+	pl.SoAStages(f, st, kern)
+	f.Unpack(data, 0, pl.N)
+	f.Release()
+}
+
+// SoAStages runs every stage's passes serially on the frame's planes,
+// which must hold the bit-reversed input.
+func (pl *Plan) SoAStages(f *SoAFrame, st *SoATwiddles, kern Kernel) {
 	for stage := 0; stage < pl.NumStages; stage++ {
 		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
 			pl.SoARunPass(stage, pass, 0, pl.SoAPassUnits(stage, pass, kern), f, st, kern)
 		}
 	}
-	f.Unpack(data, 0, pl.N)
-	f.Release()
 }

@@ -100,8 +100,9 @@ func TestSoABase4AsmMatchesGeneric(t *testing.T) {
 }
 
 // TestSoAPassPartitionInvariance pins the determinism contract the host
-// engine relies on: running a pass's units in one span or split at any
-// unit boundary must produce bitwise-identical planes, because the
+// engine relies on: running the pack's or a pass's units in one span or
+// split at any unit boundary must produce bitwise-identical planes —
+// the pack because it is a pure permutation, the passes because the
 // asm-or-generic choice depends only on the pass shape.
 func TestSoAPassPartitionInvariance(t *testing.T) {
 	// N is chosen so late levels have half > soaQuantum, exercising the
@@ -120,8 +121,10 @@ func TestSoAPassPartitionInvariance(t *testing.T) {
 		}
 		whole := GetSoAFrame(pl.N)
 		split := GetSoAFrame(pl.N)
-		whole.PackBitrev(data, 0, pl.N, pl.LogN)
-		split.PackBitrev(data, 0, pl.N, pl.LogN)
+		whole.PackBitrev(data, 0, SoAPackUnits(pl.LogN), pl.LogN)
+		for u := 0; u < SoAPackUnits(pl.LogN); u++ {
+			split.PackBitrev(data, u, u+1, pl.LogN)
+		}
 		for stage := 0; stage < pl.NumStages; stage++ {
 			for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
 				units := pl.SoAPassUnits(stage, pass, kern)

@@ -39,12 +39,14 @@ const (
 	PassRows   = "rows"   // 2-D row-FFT pass
 	PassCols   = "cols"   // 2-D column-FFT pass
 
-	PassStageMixed = "stage_mixed" // one mixed-radix Stockham stage
-	PassChirp      = "chirp"       // Bluestein chirp pre/post-multiply sweep
+	PassStageMixed = "stage_mixed" // one mixed-radix Stockham stage (and its final copy)
+	PassChirp      = "chirp"       // Bluestein elementwise sweep: chirp multiply, ×BHat, chirp-out
 
 	// SoA-kernel passes: the split-plane pipeline replaces the plain
 	// bit-reversal pass with a fused deinterleave+bitrev pack into the
-	// planes, and adds a reinterleave pass at the end.
+	// planes, and adds a reinterleave pass at the end. Bluestein's
+	// plane-resident convolution reports its chirp and filter packs as
+	// PassSoAPack too.
 	PassSoAPack   = "soa_pack"   // deinterleave + bit-reverse into planes
 	PassSoAUnpack = "soa_unpack" // reinterleave planes into the data array
 )
@@ -174,6 +176,44 @@ func (e *Engine) parallelFor(n int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
+// shard runs fn over [0,n): in one call when serial, otherwise split
+// across the workers by parallelFor.
+func (e *Engine) shard(serial bool, n int, fn func(lo, hi int)) {
+	if serial {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	e.parallelFor(n, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// conjSweep conjugates data in place — the inverse path's input sweep —
+// and reports it as PassConj.
+func (e *Engine) conjSweep(data []complex128, serial bool) {
+	t0 := e.passStart()
+	e.shard(serial, len(data), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := data[i]
+			data[i] = complex(real(v), -imag(v))
+		}
+	})
+	e.passDone(PassConj, t0)
+}
+
+// scaleSweep replaces data[i] with conj(data[i])·s — the inverse path's
+// output sweep — and reports it as PassScale.
+func (e *Engine) scaleSweep(data []complex128, s float64, serial bool) {
+	t0 := e.passStart()
+	e.shard(serial, len(data), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := data[i]
+			data[i] = complex(real(v)*s, -imag(v)*s)
+		}
+	})
+	e.passDone(PassScale, t0)
+}
+
 // bitReverse applies the bit-reversal permutation in parallel. Every swap
 // pair {i, BitReverse(i)} is executed by exactly one worker — the one
 // whose index range holds the smaller element — so the shards never touch
@@ -234,20 +274,9 @@ func (e *Engine) InverseTransform(pl *fft.Plan, data, w []complex128) {
 		pl.InverseTransform(data, w)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	e.conjSweep(data, false)
 	e.Transform(pl, data, w)
-	inv := 1 / float64(pl.N)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.scaleSweep(data, 1/float64(pl.N), false)
 }
 
 // Transform2D applies the 2-D FFT in place (row-major data): rows are
@@ -296,18 +325,7 @@ func (e *Engine) InverseTransform2D(p *fft.Plan2D, data []complex128) {
 		p.InverseTransform(data)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	e.conjSweep(data, false)
 	e.Transform2D(p, data)
-	inv := 1 / float64(p.Rows*p.Cols)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.scaleSweep(data, 1/float64(p.Rows*p.Cols), false)
 }

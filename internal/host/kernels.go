@@ -81,35 +81,42 @@ func (e *Engine) TransformKernel(pl *fft.Plan, data, w []complex128, kern fft.Ke
 }
 
 // transformSoA is the engine's parallel path for the split-plane
-// kernels: shard the fused pack+bitrev, run every stage's passes with
-// parallelFor over their units (a barrier after each pass, exactly the
-// ordering TransformSoA uses serially), shard the unpack. Units of one
-// pass touch disjoint plane elements and their results are independent
-// of the partition, so output is bitwise identical to the serial path.
+// kernels: shard the tiled pack+bitrev over its units, run every
+// stage's passes with parallelFor over their units (a barrier after
+// each pass, exactly the ordering TransformSoA uses serially), shard
+// the unpack. Pack units and pass units both yield the same planes
+// under any partition, so output is bitwise identical to the serial
+// path.
 func (e *Engine) transformSoA(pl *fft.Plan, data, w []complex128, kern fft.Kernel) {
 	st := pl.SoATwiddles(w)
 	f := fft.GetSoAFrame(pl.N)
 	t0 := e.passStart()
-	e.parallelFor(pl.N, func(_, lo, hi int) {
+	e.parallelFor(fft.SoAPackUnits(pl.LogN), func(_, lo, hi int) {
 		f.PackBitrev(data, lo, hi, pl.LogN)
 	})
 	e.passDone(PassSoAPack, t0)
-	label := StagePassLabel(kern)
-	for stage := 0; stage < pl.NumStages; stage++ {
-		ts := e.passStart()
-		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
-			e.parallelFor(pl.SoAPassUnits(stage, pass, kern), func(_, lo, hi int) {
-				pl.SoARunPass(stage, pass, lo, hi, f, st, kern)
-			})
-		}
-		e.passDone(label, ts)
-	}
+	e.soaStages(pl, f, st, kern, false)
 	t1 := e.passStart()
 	e.parallelFor(pl.N, func(_, lo, hi int) {
 		f.Unpack(data, lo, hi)
 	})
 	e.passDone(PassSoAUnpack, t1)
 	f.Release()
+}
+
+// soaStages runs every stage's passes on a packed frame, sharding each
+// pass's units unless serial, and reports one stage pass per stage.
+func (e *Engine) soaStages(pl *fft.Plan, f *fft.SoAFrame, st *fft.SoATwiddles, kern fft.Kernel, serial bool) {
+	label := StagePassLabel(kern)
+	for stage := 0; stage < pl.NumStages; stage++ {
+		ts := e.passStart()
+		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
+			e.shard(serial, pl.SoAPassUnits(stage, pass, kern), func(lo, hi int) {
+				pl.SoARunPass(stage, pass, lo, hi, f, st, kern)
+			})
+		}
+		e.passDone(label, ts)
+	}
 }
 
 // InverseTransformKernel is InverseTransform with a selectable kernel.
@@ -126,20 +133,9 @@ func (e *Engine) InverseTransformKernel(pl *fft.Plan, data, w []complex128, kern
 		pl.InverseTransformKernel(data, w, kern)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	e.conjSweep(data, false)
 	e.TransformKernel(pl, data, w, kern)
-	inv := 1 / float64(pl.N)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.scaleSweep(data, 1/float64(pl.N), false)
 }
 
 // Transform2DKernel is Transform2D with a selectable kernel applied to
@@ -197,20 +193,9 @@ func (e *Engine) InverseTransform2DKernel(p *fft.Plan2D, data []complex128, kern
 		p.InverseTransformKernel(data, kern)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	e.conjSweep(data, false)
 	e.Transform2DKernel(p, data, kern)
-	inv := 1 / float64(p.Rows*p.Cols)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.scaleSweep(data, 1/float64(p.Rows*p.Cols), false)
 }
 
 // RealTransformKernel is RealTransform with a selectable kernel for the

@@ -5,11 +5,15 @@
 // the serial pass), and the Bluestein path runs its chirp sweeps with
 // parallelFor and its embedded power-of-two convolution through the
 // kernel-selected engine entry points — inheriting their determinism
-// guarantee wholesale.
+// guarantee wholesale. Under the SoA kernels that convolution never
+// leaves the split planes: its packs shard by tile unit and its stages
+// by pass unit, both partition-independent. Scratch (the Stockham
+// ping-pong, the interleaved convolution buffer, the SoA frames) comes
+// from pools, so steady-state calls do not allocate it.
 package host
 
 import (
-	"time"
+	"sync"
 
 	"codeletfft/internal/fft"
 )
@@ -22,11 +26,13 @@ func (e *Engine) MixedTransform(mp *fft.MixedPlan, data []complex128) {
 	if len(data) != mp.N {
 		panic(fft.LengthError("data", len(data), mp.N))
 	}
+	work := getWork(mp.N)
 	if mp.N < e.threshold || e.workers <= 1 {
-		mp.Transform(data)
-		return
+		mp.TransformWith(data, *work)
+	} else {
+		e.mixedStages(mp, data, *work)
 	}
-	e.mixedStages(mp, data, make([]complex128, mp.N))
+	workPool.Put(work)
 }
 
 // mixedStages runs the stage passes over the data/work ping-pong pair,
@@ -42,7 +48,9 @@ func (e *Engine) mixedStages(mp *fft.MixedPlan, data, work []complex128) {
 		src, dst = dst, src
 	}
 	if len(mp.Stages)%2 == 1 {
-		copy(data, work)
+		ts := e.passStart()
+		e.parallelFor(len(data), func(_, lo, hi int) { copy(data[lo:hi], work[lo:hi]) })
+		e.passDone(PassStageMixed, ts)
 	}
 }
 
@@ -53,28 +61,15 @@ func (e *Engine) MixedInverse(mp *fft.MixedPlan, data []complex128) {
 	if len(data) != mp.N {
 		panic(fft.LengthError("data", len(data), mp.N))
 	}
+	work := getWork(mp.N)
 	if mp.N < e.threshold || e.workers <= 1 {
-		mp.InverseTransform(data)
-		return
+		mp.InverseTransformWith(data, *work)
+	} else {
+		e.conjSweep(data, false)
+		e.mixedStages(mp, data, *work)
+		e.scaleSweep(data, 1/float64(mp.N), false)
 	}
-	t0 := e.passStart()
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
-	e.passDone(PassConj, t0)
-	e.mixedStages(mp, data, make([]complex128, mp.N))
-	inv := 1 / float64(mp.N)
-	t1 := e.passStart()
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
-	e.passDone(PassScale, t1)
+	workPool.Put(work)
 }
 
 // MixedTransformBatch applies the mixed-radix forward DFT in place to
@@ -99,90 +94,48 @@ func (e *Engine) mixedBatch(mp *fft.MixedPlan, batch [][]complex128, run func(*f
 	if len(batch) == 0 {
 		return
 	}
-	start := time.Time{}
-	if e.obs != nil {
-		start = time.Now()
-	}
-	if len(batch)*mp.N < e.threshold || e.workers <= 1 {
-		work := make([]complex128, mp.N)
-		for _, row := range batch {
-			run(mp, row, work)
+	t0 := e.passStart()
+	e.shard(len(batch)*mp.N < e.threshold || e.workers <= 1, len(batch), func(lo, hi int) {
+		work := getWork(mp.N)
+		for i := lo; i < hi; i++ {
+			run(mp, batch[i], *work)
 		}
-	} else {
-		e.parallelFor(len(batch), func(_, lo, hi int) {
-			work := make([]complex128, mp.N)
-			for i := lo; i < hi; i++ {
-				run(mp, batch[i], work)
-			}
-		})
-	}
-	if e.obs != nil {
-		e.obs.ObserveBatch(len(batch), mp.N, time.Since(start))
-	}
+		workPool.Put(work)
+	})
+	e.batchDone(len(batch), mp.N, t0)
 }
 
-// BluesteinTransform applies the chirp-z forward DFT in place: chirp
-// sweeps via parallelFor, the embedded M-point convolution through the
-// engine's kernel-selected power-of-two path. Because every sweep is
-// elementwise and the convolution inherits the engine's determinism
-// guarantee, output for a fixed kernel is bitwise identical across
-// worker counts.
+// workPool recycles the complex128 scratch of the mixed-radix
+// ping-pong and the interleaved Bluestein convolution, so steady-state
+// calls allocate none of it.
+var workPool sync.Pool
+
+// getWork returns a pooled n-element scratch buffer; its contents are
+// arbitrary. Return it with workPool.Put.
+func getWork(n int) *[]complex128 {
+	p, _ := workPool.Get().(*[]complex128)
+	if p == nil {
+		p = new([]complex128)
+	}
+	if cap(*p) < n {
+		*p = make([]complex128, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// BluesteinTransform applies the chirp-z forward DFT in place. Under
+// the SoA kernels the embedded M-point convolution stays in split
+// planes (bluesteinSoA); the scalar kernels run chirp sweeps around
+// the engine's kernel-selected power-of-two transforms. Every sweep is
+// elementwise or a partition-independent pack, and the transforms
+// inherit the engine's determinism guarantee, so output for a fixed
+// kernel is bitwise identical across worker counts.
 func (e *Engine) BluesteinTransform(bp *fft.BluesteinPlan, data []complex128, kern fft.Kernel) {
 	if len(data) != bp.N {
 		panic(fft.LengthError("data", len(data), bp.N))
 	}
-	e.bluestein(bp, data, make([]complex128, bp.M), kern)
-}
-
-func (e *Engine) bluestein(bp *fft.BluesteinPlan, data, work []complex128, kern fft.Kernel) {
-	n := bp.N
-	serial := bp.M < e.threshold || e.workers <= 1
-	t0 := e.passStart()
-	if serial {
-		for t := 0; t < n; t++ {
-			work[t] = data[t] * bp.Chirp[t]
-		}
-		for t := n; t < bp.M; t++ {
-			work[t] = 0
-		}
-	} else {
-		e.parallelFor(bp.M, func(_, lo, hi int) {
-			for t := lo; t < hi; t++ {
-				if t < n {
-					work[t] = data[t] * bp.Chirp[t]
-				} else {
-					work[t] = 0
-				}
-			}
-		})
-	}
-	e.passDone(PassChirp, t0)
-	e.TransformKernel(bp.Conv, work, bp.WConv, kern)
-	if serial {
-		for i := range work {
-			work[i] *= bp.BHat[i]
-		}
-	} else {
-		e.parallelFor(bp.M, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				work[i] *= bp.BHat[i]
-			}
-		})
-	}
-	e.InverseTransformKernel(bp.Conv, work, bp.WConv, kern)
-	t1 := e.passStart()
-	if serial {
-		for k := 0; k < n; k++ {
-			data[k] = work[k] * bp.Chirp[k]
-		}
-	} else {
-		e.parallelFor(n, func(_, lo, hi int) {
-			for k := lo; k < hi; k++ {
-				data[k] = work[k] * bp.Chirp[k]
-			}
-		})
-	}
-	e.passDone(PassChirp, t1)
+	e.bluesteinOne(bp, data, kern, false)
 }
 
 // BluesteinInverse applies the chirp-z inverse DFT in place via the
@@ -191,85 +144,102 @@ func (e *Engine) BluesteinInverse(bp *fft.BluesteinPlan, data []complex128, kern
 	if len(data) != bp.N {
 		panic(fft.LengthError("data", len(data), bp.N))
 	}
+	e.bluesteinOne(bp, data, kern, true)
+}
+
+// bluesteinOne runs one forward or inverse chirp-z transform.
+func (e *Engine) bluesteinOne(bp *fft.BluesteinPlan, data []complex128, kern fft.Kernel, inverse bool) {
+	kern = kern.Concrete()
+	if kern.SoA() {
+		e.bluesteinSoA(bp, data, kern, inverse)
+		return
+	}
 	serial := bp.M < e.threshold || e.workers <= 1
-	conj := func() {
-		if serial {
-			for i, v := range data {
-				data[i] = complex(real(v), -imag(v))
-			}
-			return
-		}
-		e.parallelFor(len(data), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := data[i]
-				data[i] = complex(real(v), -imag(v))
-			}
-		})
+	if inverse {
+		e.conjSweep(data, serial)
 	}
+	work := getWork(bp.M)
+	e.bluestein(bp, data, *work, kern, serial)
+	workPool.Put(work)
+	if inverse {
+		e.scaleSweep(data, 1/float64(bp.N), serial)
+	}
+}
+
+// bluestein is the interleaved convolution of the scalar kernels:
+// chirp into work, forward transform, ×BHat, inverse transform, chirp
+// back out.
+func (e *Engine) bluestein(bp *fft.BluesteinPlan, data, work []complex128, kern fft.Kernel, serial bool) {
+	n := bp.N
 	t0 := e.passStart()
-	conj()
-	e.passDone(PassConj, t0)
-	e.bluestein(bp, data, make([]complex128, bp.M), kern)
-	inv := 1 / float64(bp.N)
-	t1 := e.passStart()
-	if serial {
-		for i, v := range data {
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	} else {
-		e.parallelFor(len(data), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := data[i]
-				data[i] = complex(real(v)*inv, -imag(v)*inv)
+	e.shard(serial, bp.M, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			if t < n {
+				work[t] = data[t] * bp.Chirp[t]
+			} else {
+				work[t] = 0
 			}
-		})
-	}
-	e.passDone(PassScale, t1)
+		}
+	})
+	e.passDone(PassChirp, t0)
+	e.TransformKernel(bp.Conv, work, bp.WConv, kern)
+	t1 := e.passStart()
+	e.shard(serial, bp.M, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			work[i] *= bp.BHat[i]
+		}
+	})
+	e.passDone(PassChirp, t1)
+	e.InverseTransformKernel(bp.Conv, work, bp.WConv, kern)
+	t2 := e.passStart()
+	e.shard(serial, n, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			data[k] = work[k] * bp.Chirp[k]
+		}
+	})
+	e.passDone(PassChirp, t2)
+}
+
+// bluesteinSoA runs the convolution plane-resident in two pooled
+// frames: chirp-and-pack into A, A's forward stages, the ×BHat pass
+// packed into B, B's inverse stages, and the chirp-out pass — three
+// memory passes around the stage sweeps (see internal/fft's bluestein.go).
+// The packs report as PassSoAPack, the final pass as PassChirp.
+func (e *Engine) bluesteinSoA(bp *fft.BluesteinPlan, data []complex128, kern fft.Kernel, inverse bool) {
+	pl := bp.Conv
+	serial := bp.M < e.threshold || e.workers <= 1
+	st := pl.SoATwiddles(bp.WConv)
+	a, b := fft.GetSoAFrame(bp.M), fft.GetSoAFrame(bp.M)
+	units := fft.SoAPackUnits(pl.LogN)
+	t0 := e.passStart()
+	e.shard(serial, units, func(lo, hi int) { bp.ChirpPack(a, data, inverse, lo, hi) })
+	e.passDone(PassSoAPack, t0)
+	e.soaStages(pl, a, st, kern, serial)
+	t1 := e.passStart()
+	e.shard(serial, units, func(lo, hi int) { bp.MulPack(b, a, lo, hi) })
+	e.passDone(PassSoAPack, t1)
+	e.soaStages(pl, b, st, kern, serial)
+	t2 := e.passStart()
+	e.shard(serial, bp.N, func(lo, hi int) { bp.ChirpUnpack(data, b, inverse, lo, hi) })
+	e.passDone(PassChirp, t2)
+	a.Release()
+	b.Release()
 }
 
 // BluesteinTransformBatch applies the chirp-z forward DFT in place to
-// every row of batch, reusing one convolution buffer across rows; the
-// convolution parallelism lives inside each row's engine dispatch.
-// Output is bitwise identical to calling BluesteinTransform per row.
+// every row of batch in order; the parallelism lives inside each row's
+// engine dispatch. Output is bitwise identical to calling
+// BluesteinTransform per row.
 func (e *Engine) BluesteinTransformBatch(bp *fft.BluesteinPlan, batch [][]complex128, kern fft.Kernel) {
-	e.bluesteinBatch(bp, batch, kern, e.bluestein)
+	e.bluesteinBatch(bp, batch, kern, false)
 }
 
 // BluesteinInverseBatch is BluesteinTransformBatch for the inverse DFT.
 func (e *Engine) BluesteinInverseBatch(bp *fft.BluesteinPlan, batch [][]complex128, kern fft.Kernel) {
-	e.bluesteinBatch(bp, batch, kern, func(bp *fft.BluesteinPlan, data, work []complex128, kern fft.Kernel) {
-		serial := bp.M < e.threshold || e.workers <= 1
-		if serial {
-			for i, v := range data {
-				data[i] = complex(real(v), -imag(v))
-			}
-		} else {
-			e.parallelFor(len(data), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := data[i]
-					data[i] = complex(real(v), -imag(v))
-				}
-			})
-		}
-		e.bluestein(bp, data, work, kern)
-		inv := 1 / float64(bp.N)
-		if serial {
-			for i, v := range data {
-				data[i] = complex(real(v)*inv, -imag(v)*inv)
-			}
-		} else {
-			e.parallelFor(len(data), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := data[i]
-					data[i] = complex(real(v)*inv, -imag(v)*inv)
-				}
-			})
-		}
-	})
+	e.bluesteinBatch(bp, batch, kern, true)
 }
 
-func (e *Engine) bluesteinBatch(bp *fft.BluesteinPlan, batch [][]complex128, kern fft.Kernel,
-	run func(*fft.BluesteinPlan, []complex128, []complex128, fft.Kernel)) {
+func (e *Engine) bluesteinBatch(bp *fft.BluesteinPlan, batch [][]complex128, kern fft.Kernel, inverse bool) {
 	for i, row := range batch {
 		if len(row) != bp.N {
 			panic(fft.BatchLengthError(i, len(row), bp.N))
@@ -278,15 +248,9 @@ func (e *Engine) bluesteinBatch(bp *fft.BluesteinPlan, batch [][]complex128, ker
 	if len(batch) == 0 {
 		return
 	}
-	start := time.Time{}
-	if e.obs != nil {
-		start = time.Now()
-	}
-	work := make([]complex128, bp.M)
+	t0 := e.passStart()
 	for _, row := range batch {
-		run(bp, row, work, kern)
+		e.bluesteinOne(bp, row, kern, inverse)
 	}
-	if e.obs != nil {
-		e.obs.ObserveBatch(len(batch), bp.N, time.Since(start))
-	}
+	e.batchDone(len(batch), bp.N, t0)
 }

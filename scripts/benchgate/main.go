@@ -6,7 +6,7 @@
 // Either side may be raw `go test -bench` text output or a JSON
 // baseline previously written with -snapshot:
 //
-//	go test -run '^$' -bench 'BenchmarkHost(Batch|Parallel|Kernels)' . > new.txt
+//	go test -run '^$' -bench 'BenchmarkHost(Batch|Parallel|Kernels|SoA)|BenchmarkMixedRadix' . > new.txt
 //	go run ./scripts/benchgate -old BENCH_baseline.json -new new.txt
 //	go run ./scripts/benchgate -snapshot BENCH_baseline.json -new new.txt
 //
@@ -92,7 +92,7 @@ func main() {
 	var (
 		oldPath    = flag.String("old", "", "baseline: bench text output or .json snapshot")
 		newPath    = flag.String("new", "", "candidate: bench text output or .json snapshot")
-		pattern    = flag.String("pattern", `^BenchmarkHost(Batch|Parallel|Kernels|SoA)`, "regexp selecting which benchmarks gate")
+		pattern    = flag.String("pattern", `^Benchmark(Host(Batch|Parallel|Kernels|SoA)|MixedRadix)`, "regexp selecting which benchmarks gate")
 		maxRegress = flag.Float64("max-regress", 0.15, "fail when geomean(new/old) exceeds 1+this")
 		snapshot   = flag.String("snapshot", "", "instead of gating, write -new results to this .json baseline")
 		note       = flag.String("note", "", "note stored in the snapshot")
